@@ -19,7 +19,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ["search-cache", "serve-lb", "serve-cache", "lb-drift"]
-# A run measures for at most 60 s plus set-up; anything slower is a hang.
+# A run measures for --seconds (at most 60 s), or up to 120 s where it must
+# gather a minimum of samples, after a few seconds of set-up; a run still
+# going after this is a hang.
 RUN_TIMEOUT_S = 170
 
 

@@ -51,6 +51,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("lbsim.score_calls_per_pick", "calls/pick"),
     ("serve.runtime_ns_per_decision", "ns"),
     ("serve.detect_ms", "ms"),
+    ("core.monitor_misfires", "count"),
     ("core.try_reuse_ms", "ms"),
     ("serve.guard_screen_ms", "ms"),
     ("serve.swap_publish_ns", "ns"),
@@ -98,26 +99,70 @@ impl Outcome {
     }
 }
 
-/// Run `f` `times` times; return the last result and the median CPU
-/// seconds of one run (set-up is single-threaded, so this is its wall
-/// time less what the hypervisor stole). Set-up is repeated so its time
-/// is a median, not a single cold sample.
-pub fn repeated_setup<T>(times: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(times > 0);
-    let mut secs = Vec::with_capacity(times);
-    let mut last = None;
-    for _ in 0..times {
-        // drop the previous inputs first, so peak memory holds one copy
-        drop(last.take());
-        let c0 = stats::process_cpu_seconds();
-        last = Some(std::hint::black_box(f()));
-        secs.push(stats::process_cpu_seconds() - c0);
-    }
-    (last.expect("times > 0"), stats::median(&secs).expect("times > 0"))
+/// A run's inputs, and the timing of their set-up across the run.
+///
+/// Set-up is single-threaded, so its CPU time is its wall time less what
+/// the hypervisor stole. The host this benchmark was tuned on slows one
+/// thread by up to half in phases of a few seconds, so set-ups timed in
+/// one burst read whichever phase they fell in: timed ahead of the task,
+/// they spread up to 38% over ten seeds. Instead, between operations
+/// the workload calls [`Setup::between_ops`], which rebuilds the inputs
+/// while set-up has had less than [`SETUP_SHARE`] of the run's wall time;
+/// set-up time is the median over every build, sampled across the same
+/// phases as the task.
+pub struct Setup<'a, T> {
+    make: Box<dyn FnMut() -> T + 'a>,
+    inputs: Option<T>,
+    /// CPU seconds of each build.
+    secs: Vec<f64>,
+    /// Wall seconds spent building.
+    wall: f64,
+    start: std::time::Instant,
 }
 
-/// Set-up repetitions per run.
-pub const SETUP_REPEATS: usize = 5;
+impl<'a, T> Setup<'a, T> {
+    /// Build the inputs once.
+    pub fn new(make: impl FnMut() -> T + 'a) -> Self {
+        let mut setup = Setup {
+            make: Box::new(make),
+            inputs: None,
+            secs: Vec::new(),
+            wall: 0.0,
+            start: std::time::Instant::now(),
+        };
+        setup.build();
+        setup
+    }
+
+    fn build(&mut self) {
+        // drop the previous inputs first, so memory holds one copy
+        drop(self.inputs.take());
+        let (c0, t0) = (stats::process_cpu_seconds(), std::time::Instant::now());
+        self.inputs = Some(std::hint::black_box((self.make)()));
+        self.secs.push(stats::process_cpu_seconds() - c0);
+        self.wall += t0.elapsed().as_secs_f64();
+    }
+
+    pub fn inputs(&self) -> &T {
+        self.inputs.as_ref().expect("inputs are built in new")
+    }
+
+    /// Rebuild the inputs (identical: they come from the seed) until
+    /// set-up has had [`SETUP_SHARE`] of the wall time since `new`.
+    pub fn between_ops(&mut self) {
+        while self.wall < SETUP_SHARE * self.start.elapsed().as_secs_f64() {
+            self.build();
+        }
+    }
+
+    /// Median CPU seconds of one set-up, and the number of set-ups.
+    pub fn seconds(&self) -> (f64, usize) {
+        (stats::median(&self.secs).expect("inputs are built in new"), self.secs.len())
+    }
+}
+
+/// Share of a run's wall time spent rebuilding its inputs.
+pub const SETUP_SHARE: f64 = 0.15;
 
 /// The final result line: exactly `correct`, `attempted`, `failed` and
 /// `metrics`, each metric with its unit. Panics if a metric of `expected`

@@ -15,7 +15,7 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { workload: String::new(), seed: 42, seconds: 10.0, trace: false };
+    let mut args = Args { workload: String::new(), seed: 42, seconds: 20.0, trace: false };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;

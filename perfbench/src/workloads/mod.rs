@@ -7,7 +7,7 @@ pub mod serve_lb;
 
 use crate::stats::{hist_quantile, median, process_cpu_seconds};
 use crate::trace::{clock_cost_ns, self_by_name, totals, Tracer};
-use crate::{Outcome, PER_LAYER};
+use crate::{Outcome, Setup, PER_LAYER};
 use policysmith_dsl::{parse, Mode};
 use policysmith_kbpf::CompiledPolicy;
 use policysmith_serve::ServeReport;
@@ -21,8 +21,8 @@ pub fn compile(source: &str, mode: Mode) -> CompiledPolicy {
 }
 
 /// Upper bound on one run's measuring time, for loops that must also
-/// gather a minimum of samples: the run must end well inside its 180 s
-/// limit.
+/// gather a minimum of samples. With set-up, a run stays inside the 170 s
+/// that `run.py` allows it.
 pub const MAX_MEASURE: Duration = Duration::from_secs(120);
 
 /// The measuring window: `seconds` from now (at most 60, so it closes
@@ -138,25 +138,35 @@ pub fn write_spans(out: &mut Outcome, tracer: &Tracer, workload: &str, seed: u64
     }
 }
 
-/// Serve calls until `seconds` have passed, each checked by `holds`; the
-/// end-to-end metrics, but `setup_s`, from their totals.
-pub fn serve_calls(
+/// Set `setup_s` from every set-up of the run.
+pub fn report_setup<T>(out: &mut Outcome, setup: &Setup<'_, T>) {
+    let (secs, builds) = setup.seconds();
+    out.set("setup_s", secs);
+    out.note(format!("setup_s: median of {builds} set-ups across the run"));
+}
+
+/// Serve calls until `seconds` have passed, each checked by `holds`, the
+/// inputs rebuilt between calls; the end-to-end metrics, but `setup_s`,
+/// from their totals.
+pub fn serve_calls<T>(
     seconds: f64,
-    mut call: impl FnMut() -> ServeReport,
-    holds: impl Fn(&ServeReport) -> Result<(), String>,
+    setup: &mut Setup<'_, T>,
+    call: impl Fn(&T) -> ServeReport,
+    holds: impl Fn(&T, &ServeReport) -> Result<(), String>,
 ) -> Outcome {
     let mut out = Outcome::default();
     let mut totals = ServeTotals::default();
     let (soft, _) = deadline(seconds);
     loop {
         let c0 = process_cpu_seconds();
-        let report = call();
+        let report = call(setup.inputs());
         totals.add(&report, process_cpu_seconds() - c0);
-        let verdict = holds(&report);
+        let verdict = holds(setup.inputs(), &report);
         out.check(verdict.is_ok(), || verdict.unwrap_err());
         if Instant::now() >= soft {
             break;
         }
+        setup.between_ops();
     }
     let task_cpu_s = median(&totals.cpus).expect("at least one serve call");
     totals.finish(&mut out, task_cpu_s);

@@ -8,13 +8,13 @@
 //! evaluations replay. Decision latency: per evaluated candidate, the CPU
 //! time of its evaluation over the accesses it replayed.
 
-use super::{compose, deadline, layer_metrics, layers_per_op};
+use super::{compose, deadline, layer_metrics, layers_per_op, report_setup};
 use crate::stats::{
     median, peak_rss_mb, process_cpu_seconds, sample_quantile, supports, thread_cpu_seconds,
 };
 use crate::trace::Tracer;
 use crate::wrap::{TracedCacheStudy, TracedGenerator, TracedStudy};
-use crate::{repeated_setup, Outcome, SETUP_REPEATS};
+use crate::{Outcome, Setup};
 use policysmith_core::search::{run_search, SearchConfig, SearchOutcome, Study};
 use policysmith_core::studies::cache::CacheStudy;
 use policysmith_gen::{GenConfig, MockLlm};
@@ -73,27 +73,29 @@ fn winner_holds(study: &CacheStudy, outcome: &SearchOutcome) -> bool {
 }
 
 pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
-    let ((trace, study), setup_s) = repeated_setup(SETUP_REPEATS, || {
+    let mut setup = Setup::new(|| {
         let trace = cloudphysics().trace(TRACE_INDEX, TRACE_LEN);
         let study = CacheStudy::new(&trace);
         (trace, study)
     });
     let mut out = if traced {
-        run_traced(seed, seconds, &trace, &study)
+        let (trace, study) = setup.inputs();
+        run_traced(seed, seconds, trace, study)
     } else {
-        run_plain(seed, seconds, &study)
+        run_plain(seed, seconds, &mut setup)
     };
-    out.set("setup_s", setup_s);
+    report_setup(&mut out, &setup);
     out.note(format!("threads: {EVAL_THREADS} evaluation + 1 generation (idle while scoring)"));
     out
 }
 
-fn run_plain(seed: u64, seconds: f64, study: &CacheStudy) -> Outcome {
+fn run_plain(seed: u64, seconds: f64, setup: &mut Setup<'_, (Trace, CacheStudy)>) -> Outcome {
     let mut out = Outcome::default();
     let cfg = config();
     let (soft, hard) = deadline(seconds);
     let (mut walls, mut cpus, mut evaluated, mut per_decision) = (vec![], vec![], 0u64, vec![]);
     for i in 0.. {
+        let study = &setup.inputs().1;
         let timed = Timed { inner: study, eval_ns: Mutex::new(Vec::new()) };
         let mut llm = generator(seed, i);
         let (c0, t0) = (process_cpu_seconds(), Instant::now());
@@ -116,6 +118,7 @@ fn run_plain(seed: u64, seconds: f64, study: &CacheStudy) -> Outcome {
         if now >= hard || (now >= soft && supports(per_decision.len() as u64, 0.99)) {
             break;
         }
+        setup.between_ops();
     }
     let decisions = evaluated as f64 * TRACE_LEN as f64;
     let cpu: f64 = cpus.iter().sum();

@@ -1,15 +1,15 @@
 //! `serve-cache`: the cache data plane. `serve_cache` with 2 workers,
-//! each replaying a 2M-request CloudPhysics-w89 trace (the w89 workload
+//! each replaying a 500k-request CloudPhysics-w89 trace (the w89 workload
 //! law, its stream drawn from `--seed`) through the compiled Listing-1
 //! policy, cache = 10% of the trace's footprint. No swaps.
 //!
 //! Task: one serve call over both workers' replays. Decisions: cache
 //! accesses served.
 
-use super::{compile, compose, layer_metrics, serve_calls, write_spans};
+use super::{compile, compose, layer_metrics, report_setup, serve_calls, write_spans};
 use crate::trace::Tracer;
 use crate::wrap::TracedPolicy;
-use crate::{repeated_setup, Outcome, SETUP_REPEATS};
+use crate::{Outcome, Setup};
 use policysmith_cachesim::{simulate, Cache, PriorityPolicy, SimResult, LISTING1_SOURCE};
 use policysmith_core::studies::cache::CacheStudy;
 use policysmith_dsl::Mode;
@@ -39,7 +39,7 @@ fn host(name: &str, policy: &CompiledPolicy) -> PriorityPolicy {
     PriorityPolicy::new(name, policy.clone()).track_everything()
 }
 
-fn setup(seed: u64) -> Inputs {
+fn make_inputs(seed: u64) -> Inputs {
     let params = CLOUDPHYSICS.params(TRACE_INDEX);
     let name = format!("cloudphysics/{}", CLOUDPHYSICS.trace_name(TRACE_INDEX));
     let trace = generate(&name, &params, mix(seed, TRACE_INDEX as u64), TRACE_LEN);
@@ -89,13 +89,13 @@ fn report_holds(inputs: &Inputs, report: &ServeReport) -> Result<(), String> {
 }
 
 pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
-    let (inputs, setup_s) = repeated_setup(SETUP_REPEATS, || setup(seed));
+    let mut setup = Setup::new(|| make_inputs(seed));
     let mut out = if traced {
-        run_traced(seed, &inputs)
+        run_traced(seed, setup.inputs())
     } else {
-        serve_calls(seconds, || serve(&inputs), |r| report_holds(&inputs, r))
+        serve_calls(seconds, &mut setup, serve, report_holds)
     };
-    out.set("setup_s", setup_s);
+    report_setup(&mut out, &setup);
     out.note(format!(
         "threads: {WORKERS} serving workers + 1 adaptation thread (idle: no drift answer)"
     ));

@@ -1,15 +1,15 @@
 //! `serve-lb`: the steady lb data plane. `serve_lb` with 2 workers, each
-//! replaying as fast as it can 120 reseeded `uniform_fleet` streams
+//! replaying as fast as it can 24 reseeded `uniform_fleet` streams
 //! (30k requests each) through the compiled least-work-left policy: a
 //! closed loop with one client per worker. No re-synthesis, no swaps.
 //!
 //! Task: one serve call over both workers' streams. Decisions: dispatch
 //! decisions served.
 
-use super::{compile, compose, layer_metrics, serve_calls, write_spans};
+use super::{compile, compose, layer_metrics, report_setup, serve_calls, write_spans};
 use crate::trace::{Leaf, Tracer};
 use crate::wrap::TracedDispatcher;
-use crate::{repeated_setup, Outcome, SETUP_REPEATS};
+use crate::{Outcome, Setup};
 use policysmith_core::studies::lb::LbStudy;
 use policysmith_dsl::Mode;
 use policysmith_kbpf::CompiledPolicy;
@@ -30,7 +30,7 @@ struct Inputs {
     reference: LbMetrics,
 }
 
-fn setup(seed: u64) -> Inputs {
+fn make_inputs(seed: u64) -> Inputs {
     let base = scenario::uniform_fleet();
     let phases: Vec<Scenario> =
         (0..STREAMS).map(|i| base.clone().with_seed(loadgen::mix(seed, i as u64))).collect();
@@ -79,13 +79,13 @@ fn report_holds(inputs: &Inputs, report: &ServeReport) -> Result<(), String> {
 }
 
 pub fn run(seed: u64, seconds: f64, traced: bool) -> Outcome {
-    let (inputs, setup_s) = repeated_setup(SETUP_REPEATS, || setup(seed));
+    let mut setup = Setup::new(|| make_inputs(seed));
     let mut out = if traced {
-        run_traced(seed, &inputs)
+        run_traced(seed, setup.inputs())
     } else {
-        serve_calls(seconds, || serve(&inputs), |r| report_holds(&inputs, r))
+        serve_calls(seconds, &mut setup, serve, report_holds)
     };
-    out.set("setup_s", setup_s);
+    report_setup(&mut out, &setup);
     out.note(format!(
         "threads: {WORKERS} serving workers + 1 adaptation thread (idle: no drift answer)"
     ));

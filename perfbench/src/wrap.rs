@@ -6,10 +6,11 @@
 use crate::trace::{Leaf, Tracer};
 use policysmith_cachesim::{Cache, CacheView, ObjId, Policy, PriorityPolicy};
 use policysmith_core::search::Study;
+use policysmith_core::studies::lb::LbStudy;
 use policysmith_dsl::{parse, Mode};
 use policysmith_gen::{GenError, Generator, Prompt, TokenLedger};
 use policysmith_kbpf::CompiledPolicy;
-use policysmith_lbsim::{sim, DispatchView, Dispatcher, ExprDispatcher, LbRequest, Scenario};
+use policysmith_lbsim::{DispatchView, Dispatcher, ExprDispatcher};
 use policysmith_traces::Trace;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -113,28 +114,21 @@ impl Study for TracedCacheStudy<'_, '_> {
     }
 }
 
-/// The lb study's Checker and Evaluator rebuilt from public parts, with
-/// the simulator run in a `lbsim.run` span and every pick timed. Scores
-/// equal `LbStudy`'s for the same scenario.
-pub struct TracedLbStudy<'t> {
-    scenario: Scenario,
-    requests: Vec<LbRequest>,
-    rr_slowdown: f64,
+/// The lb study with its Checker split into parse and compile, the
+/// simulator run in a `lbsim.run` span and every pick timed. Evaluation
+/// goes through `LbStudy::improvement`, so scores equal `LbStudy`'s.
+pub struct TracedLbStudy<'a, 't> {
+    study: &'a LbStudy,
     tracer: &'t Tracer,
 }
 
-impl<'t> TracedLbStudy<'t> {
-    pub fn new(study: &policysmith_core::studies::lb::LbStudy, tracer: &'t Tracer) -> Self {
-        TracedLbStudy {
-            scenario: study.scenario().clone(),
-            requests: study.scenario().requests(),
-            rr_slowdown: study.rr_slowdown(),
-            tracer,
-        }
+impl<'a, 't> TracedLbStudy<'a, 't> {
+    pub fn new(study: &'a LbStudy, tracer: &'t Tracer) -> Self {
+        TracedLbStudy { study, tracer }
     }
 }
 
-impl Study for TracedLbStudy<'_> {
+impl Study for TracedLbStudy<'_, '_> {
     type Artifact = CompiledPolicy;
 
     fn mode(&self) -> Mode {
@@ -147,9 +141,9 @@ impl Study for TracedLbStudy<'_> {
 
     fn evaluate(&self, policy: &CompiledPolicy) -> f64 {
         let mut host = TracedDispatcher::new(ExprDispatcher::new("candidate", policy.clone()));
-        let m = self.tracer.span_with_leaf("lbsim.run", || {
-            let m = sim::run(&self.scenario.servers, &self.requests, &mut host);
-            (m, host.pick.total_ns())
+        let score = self.tracer.span_with_leaf("lbsim.run", || {
+            let score = self.study.improvement(&mut host);
+            (score, host.pick.total_ns())
         });
         host.flush(self.tracer);
         self.tracer.add_count("lbsim.score_calls", host.inner.score_calls());
@@ -157,7 +151,7 @@ impl Study for TracedLbStudy<'_> {
         if host.inner.first_error().is_some() {
             return f64::NEG_INFINITY;
         }
-        (self.rr_slowdown - m.mean_slowdown()) / self.rr_slowdown.max(1e-9)
+        score
     }
 }
 
