@@ -9,6 +9,12 @@
 //! Virtual time is the request index (`vtime`), the convention libCacheSim
 //! uses for age-based features; wall-clock microseconds from the trace are
 //! also available in [`ObjMeta`] for policies that want them.
+//!
+//! Resident objects live in a slab: each gets a dense engine slot, one
+//! `IdMap` probe maps the request's object id to it, and freed slots are
+//! recycled. Callbacks see the slot of their object as [`CacheView::slot`],
+//! so a policy can key its own per-object state by slot (plain arrays)
+//! instead of probing a map of its own per access.
 
 use crate::util::IdMap;
 use policysmith_traces::{Request, Trace};
@@ -32,9 +38,19 @@ pub struct ObjMeta {
     pub access_count: u64,
 }
 
+/// [`CacheView::slot`] in callbacks that have no resident object of their
+/// own: `on_miss` and `victim`.
+pub const NO_SLOT: u32 = u32::MAX;
+
 /// Read-only view of engine state passed to policy callbacks.
 pub struct CacheView<'a> {
-    objects: &'a IdMap<ObjId, ObjMeta>,
+    index: &'a IdMap<ObjId, u32>,
+    slab: &'a [ObjMeta],
+    /// Engine slot of the callback's object in `on_hit`, `on_evict` and
+    /// `on_insert`; [`NO_SLOT`] in `on_miss` and `victim`. A slot is
+    /// unique among resident objects and is reused after the object
+    /// leaves.
+    pub slot: u32,
     pub vtime: u64,
     pub now_us: u64,
     pub used_bytes: u64,
@@ -44,12 +60,18 @@ pub struct CacheView<'a> {
 impl<'a> CacheView<'a> {
     /// Metadata of a resident object.
     pub fn meta(&self, id: ObjId) -> Option<&ObjMeta> {
-        self.objects.get(&id)
+        self.index.get(&id).map(|&slot| &self.slab[slot as usize])
+    }
+
+    /// Metadata in engine slot `slot`, which must hold a resident object
+    /// (a freed slot still reads its last occupant). No hash probe.
+    pub fn meta_at(&self, slot: u32) -> &ObjMeta {
+        &self.slab[slot as usize]
     }
 
     /// Number of resident objects.
     pub fn num_objects(&self) -> usize {
-        self.objects.len()
+        self.index.len()
     }
 }
 
@@ -63,6 +85,9 @@ impl<'a> CacheView<'a> {
 ///   internal structures (hand movement, queue migration, …).
 /// * `on_evict(id)` — the engine is evicting `id` (meta still readable).
 /// * `on_insert(id)` — `id` just became resident.
+///
+/// In `on_hit`, `on_evict` and `on_insert` the view's
+/// [`slot`](CacheView::slot) is `id`'s engine slot.
 pub trait Policy {
     /// Display name (stable; used in experiment tables).
     fn name(&self) -> &str;
@@ -120,7 +145,11 @@ impl SimResult {
 /// The cache engine.
 pub struct Cache<P: Policy> {
     pub policy: P,
-    objects: IdMap<ObjId, ObjMeta>,
+    /// Object id → slot in `slab`.
+    index: IdMap<ObjId, u32>,
+    /// Metadata by slot; slots in `free` are vacant.
+    slab: Vec<ObjMeta>,
+    free: Vec<u32>,
     used_bytes: u64,
     capacity_bytes: u64,
     vtime: u64,
@@ -131,9 +160,11 @@ pub struct Cache<P: Policy> {
 /// Construct a `CacheView` borrowing only the engine's data fields, leaving
 /// `self.policy` free for the simultaneous `&mut` the callbacks need.
 macro_rules! engine_view {
-    ($self:ident) => {
+    ($self:ident, $slot:expr) => {
         CacheView {
-            objects: &$self.objects,
+            index: &$self.index,
+            slab: &$self.slab,
+            slot: $slot,
             vtime: $self.vtime,
             now_us: $self.now_us,
             used_bytes: $self.used_bytes,
@@ -148,7 +179,9 @@ impl<P: Policy> Cache<P> {
         assert!(capacity_bytes > 0, "capacity must be positive");
         Cache {
             policy,
-            objects: IdMap::default(),
+            index: IdMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
             used_bytes: 0,
             capacity_bytes,
             vtime: 0,
@@ -161,13 +194,7 @@ impl<P: Policy> Cache<P> {
     /// split borrows with `self.policy`.
     #[cfg(test)]
     fn view(&self) -> CacheView<'_> {
-        CacheView {
-            objects: &self.objects,
-            vtime: self.vtime,
-            now_us: self.now_us,
-            used_bytes: self.used_bytes,
-            capacity_bytes: self.capacity_bytes,
-        }
+        engine_view!(self, NO_SLOT)
     }
 
     /// Process one request; returns `true` on hit.
@@ -176,20 +203,21 @@ impl<P: Policy> Cache<P> {
         self.now_us = req.time_us;
         self.result.requests += 1;
 
-        if let Some(meta) = self.objects.get_mut(&req.obj) {
+        if let Some(&slot) = self.index.get(&req.obj) {
+            let meta = &mut self.slab[slot as usize];
             meta.access_count += 1;
             meta.last_vtime = self.vtime;
             meta.last_us = req.time_us;
             self.result.hits += 1;
             self.result.hit_bytes += meta.size as u64;
-            let view = engine_view!(self);
+            let view = engine_view!(self, slot);
             self.policy.on_hit(req.obj, &view);
             return true;
         }
 
         self.result.misses += 1;
         self.result.miss_bytes += req.size as u64;
-        let view = engine_view!(self);
+        let view = engine_view!(self, NO_SLOT);
         self.policy.on_miss(req.obj, &view);
 
         if req.size as u64 > self.capacity_bytes {
@@ -199,30 +227,43 @@ impl<P: Policy> Cache<P> {
 
         // Make room.
         while self.used_bytes + req.size as u64 > self.capacity_bytes {
-            let view = engine_view!(self);
+            let view = engine_view!(self, NO_SLOT);
             let victim = self.policy.victim(&view);
-            let meta = self.objects.get(&victim).copied().unwrap_or_else(|| {
+            let slot = self.index.get(&victim).copied().unwrap_or_else(|| {
                 panic!("policy {} evicted non-resident {victim}", self.policy.name())
             });
-            let view = engine_view!(self);
+            let view = engine_view!(self, slot);
             self.policy.on_evict(victim, &view);
-            self.objects.remove(&victim);
-            self.used_bytes -= meta.size as u64;
+            self.index.remove(&victim);
+            self.free.push(slot);
+            self.used_bytes -= self.slab[slot as usize].size as u64;
             self.result.evictions += 1;
         }
 
-        self.objects.insert(
-            req.obj,
-            ObjMeta {
-                size: req.size,
-                insert_vtime: self.vtime,
-                last_vtime: self.vtime,
-                last_us: req.time_us,
-                access_count: 1,
-            },
-        );
+        let meta = ObjMeta {
+            size: req.size,
+            insert_vtime: self.vtime,
+            last_vtime: self.vtime,
+            last_us: req.time_us,
+            access_count: 1,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = meta;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot != NO_SLOT)
+                    .expect("fewer than u32::MAX resident objects");
+                self.slab.push(meta);
+                slot
+            }
+        };
+        self.index.insert(req.obj, slot);
         self.used_bytes += req.size as u64;
-        let view = engine_view!(self);
+        let view = engine_view!(self, slot);
         self.policy.on_insert(req.obj, &view);
         false
     }
@@ -242,7 +283,7 @@ impl<P: Policy> Cache<P> {
 
     /// Residency check (tests / invariants).
     pub fn contains(&self, id: ObjId) -> bool {
-        self.objects.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Bytes currently used.
@@ -257,7 +298,7 @@ impl<P: Policy> Cache<P> {
 
     /// Number of resident objects.
     pub fn num_objects(&self) -> usize {
-        self.objects.len()
+        self.index.len()
     }
 }
 
@@ -358,6 +399,65 @@ mod tests {
         assert_eq!(m.insert_vtime, 1);
         assert_eq!(m.last_vtime, 3);
         assert_eq!(m.last_us, 30);
+    }
+
+    /// Checks the slot contract in every callback and records the slots
+    /// the engine handed out.
+    struct SlotCheck {
+        fifo: TestFifo,
+        max_slot: u32,
+        callbacks: u64,
+    }
+
+    impl SlotCheck {
+        fn resident(&mut self, id: ObjId, view: &CacheView<'_>) {
+            assert_ne!(view.slot, NO_SLOT);
+            assert_eq!(Some(view.meta_at(view.slot)), view.meta(id), "slot of {id}");
+            self.max_slot = self.max_slot.max(view.slot);
+            self.callbacks += 1;
+        }
+    }
+
+    impl Policy for SlotCheck {
+        fn name(&self) -> &str {
+            "slot-check"
+        }
+        fn on_hit(&mut self, id: ObjId, view: &CacheView<'_>) {
+            self.resident(id, view);
+        }
+        fn on_miss(&mut self, id: ObjId, view: &CacheView<'_>) {
+            assert_eq!(view.slot, NO_SLOT);
+            assert!(view.meta(id).is_none());
+        }
+        fn victim(&mut self, view: &CacheView<'_>) -> ObjId {
+            assert_eq!(view.slot, NO_SLOT);
+            self.fifo.victim(view)
+        }
+        fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
+            self.resident(id, view);
+            self.fifo.on_evict(id, view);
+        }
+        fn on_insert(&mut self, id: ObjId, view: &CacheView<'_>) {
+            self.resident(id, view);
+            self.fifo.on_insert(id, view);
+        }
+    }
+
+    #[test]
+    fn callbacks_see_the_slot_of_their_object_and_slots_are_recycled() {
+        let policy =
+            SlotCheck { fifo: TestFifo { queue: Default::default() }, max_slot: 0, callbacks: 0 };
+        let mut c = Cache::new(1_000, policy);
+        // mixed sizes: one insertion may evict several objects
+        for i in 0..5_000u64 {
+            let obj = (i * 2654435761) % 97;
+            c.request(&req(i, obj, 50 + (obj as u32 * 37) % 300));
+        }
+        assert!(c.result().evictions > 1_000);
+        // at most 1000 / 50 = 20 objects are resident at once, so slots
+        // of evicted objects must have been handed out again
+        assert!(c.policy.max_slot < 20, "slot {} never recycled", c.policy.max_slot);
+        assert!(c.policy.callbacks > 5_000);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   plus ARC and 2Q).
 //! * [`psq`] — the PolicySmith priority-queue **template host**: runs a
 //!   synthesized `priority()` expression over the Table-1 feature set.
-//! * [`rank`] — the host's eviction-ranking index: a slab + lazy-deletion
-//!   heap on the hot path, with the original `BTreeSet` kept as the
-//!   differential reference.
+//! * [`rank`] — the host's eviction-ranking index: an addressable binary
+//!   min-heap keyed by engine slot.
 //! * [`features`] — percentile aggregates and eviction history backing the
 //!   template.
 //! * [`paper_a`] — the paper's Listing 1 embedded as a runnable policy.

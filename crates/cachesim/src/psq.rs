@@ -12,6 +12,13 @@
 //! recomputed (the paper's design: scores update on access), so the host
 //! costs O(log N) per access as §4.1.2 advertises.
 //!
+//! All per-object state — the [`HeapRank`] entry and the aggregate
+//! tracker's resident list — is keyed by the engine's object slot
+//! ([`CacheView::slot`]), so the host probes no hash map of its own for
+//! them. Its only probes are into the eviction history, and only while
+//! that is maintained: one lookup per rescore, and one record per
+//! eviction.
+//!
 //! Runtime faults (division by zero — the classic generated-code bug; the
 //! compile pipeline marks such candidates `may_fault` instead of rejecting
 //! them, because this host has a defined fallback) do not crash the host:
@@ -19,9 +26,9 @@
 //! object keeps its previous score, and the evaluator downgrades the
 //! candidate (§4.1.3's Checker catches most, the Evaluator the rest).
 
-use crate::engine::{CacheView, ObjId, Policy};
+use crate::engine::{CacheView, ObjId, ObjMeta, Policy, NO_SLOT};
 use crate::features::{AggregateTracker, EvictionHistory, EvictionRecord};
-use crate::rank::{BTreeRank, EvictionRank, HeapRank, Rank};
+use crate::rank::HeapRank;
 use policysmith_dsl::{eval, Expr, Feature, FeatureEnv, Mode};
 use policysmith_kbpf::{CompiledPolicy, RuntimeFault, SPILL_SLOTS};
 
@@ -57,10 +64,8 @@ fn reads_history(feats: &[Feature]) -> bool {
 pub struct PriorityPolicy {
     name: String,
     engine: Engine,
-    /// (score, id) index — min score evicted first. Slab + lazy heap in
-    /// production; the `BTreeSet` reference behind
-    /// [`PriorityPolicy::use_btree_ranking`].
-    rank: Rank,
+    /// (score, id) index by engine slot — min score evicted first.
+    rank: HeapRank,
     aggregates: AggregateTracker,
     history: EvictionHistory,
     /// Does the hosted expression read any percentile aggregate? If not,
@@ -142,33 +147,19 @@ impl PriorityPolicy {
             Engine::Compiled { policy, .. } => policy.expr().features(),
             Engine::Interpreted { expr } => expr.features(),
         };
-        let uses_aggregates = reads_aggregates(&feats);
-        let uses_history = reads_history(&feats);
+        let mut aggregates = AggregateTracker::new(refresh_interval);
+        aggregates.want(&feats);
         PriorityPolicy {
             name: name.into(),
             engine,
-            rank: Rank::Heap(HeapRank::new()),
-            aggregates: AggregateTracker::new(refresh_interval),
+            rank: HeapRank::new(),
+            aggregates,
             history: EvictionHistory::new(history_len),
-            uses_aggregates,
-            uses_history,
+            uses_aggregates: reads_aggregates(&feats),
+            uses_history: reads_history(&feats),
             first_error: None,
             evaluations: 0,
         }
-    }
-
-    /// Flip to the pre-optimization reference host: `BTreeSet` ranking
-    /// plus unconditional aggregate/history maintenance (the original host
-    /// tracked both whether or not the expression read them). Kept for
-    /// differential tests and as the throughput baseline — scores are
-    /// identical to the production host by construction; only the cost
-    /// differs. Must be called before the first request.
-    pub fn use_btree_ranking(mut self) -> Self {
-        assert!(self.rank.is_empty(), "ranking swap only valid on an empty host");
-        self.rank = Rank::BTree(BTreeRank::new());
-        self.uses_aggregates = true;
-        self.uses_history = true;
-        self
     }
 
     /// Keep the feature trackers (percentile aggregates + eviction
@@ -193,9 +184,11 @@ impl PriorityPolicy {
     /// policy last gave them and are re-scored by the new policy on their
     /// next access or insertion, so the swap itself touches no per-object
     /// state and completes in O(layout) — no stop-the-world rescore, no
-    /// allocation beyond the new context slab. Any latched runtime fault
-    /// belonged to the deposed policy and is cleared; construct the host
-    /// with [`track_everything`](Self::track_everything) when swaps are
+    /// allocation beyond the new context slab. The percentiles the new
+    /// policy reads are selected from the current aggregate sample at once,
+    /// not at the next refresh. Any latched runtime fault belonged to the
+    /// deposed policy and is cleared; construct the host with
+    /// [`track_everything`](Self::track_everything) when swaps are
     /// possible, so aggregate/history features the new policy reads have
     /// been maintained all along.
     pub fn swap_policy(&mut self, policy: CompiledPolicy) {
@@ -215,6 +208,7 @@ impl PriorityPolicy {
             "swapped-in policy reads eviction history but the tracker was never \
              maintained; construct the host with track_everything()"
         );
+        self.aggregates.want(&feats);
         self.engine = Engine::Compiled {
             ctx: Vec::with_capacity(policy.layout().len()),
             map: vec![0; SPILL_SLOTS],
@@ -256,8 +250,13 @@ impl PriorityPolicy {
     }
 
     fn rescore(&mut self, id: ObjId, view: &CacheView<'_>) {
-        let Some(meta) = view.meta(id) else { return };
-        let env = PsqEnv { id, meta, view, aggregates: &self.aggregates, history: &self.history };
+        debug_assert_ne!(view.slot, NO_SLOT, "rescore outside a resident-object callback");
+        let env = PsqEnv {
+            meta: view.meta_at(view.slot),
+            view,
+            aggregates: &self.aggregates,
+            history: if self.uses_history { self.history.get(id) } else { None },
+        };
         self.evaluations += 1;
         let result = match &mut self.engine {
             Engine::Compiled { policy, ctx, map } => {
@@ -272,10 +271,10 @@ impl PriorityPolicy {
                     self.first_error = Some(e);
                 }
                 // keep previous score; new objects get the minimum
-                self.rank.get(id).unwrap_or(i64::MIN)
+                self.rank.get(view.slot).unwrap_or(i64::MIN)
             }
         };
-        self.rank.set(id, new_score);
+        self.rank.set(view.slot, id, new_score);
     }
 }
 
@@ -296,27 +295,26 @@ impl Policy for PriorityPolicy {
     }
 
     fn on_evict(&mut self, id: ObjId, view: &CacheView<'_>) {
-        self.rank.remove(id);
+        self.rank.remove(view.slot);
         if self.uses_aggregates {
-            self.aggregates.remove(id);
+            self.aggregates.remove(view.slot);
         }
         if self.uses_history {
-            if let Some(m) = view.meta(id) {
-                self.history.record(
-                    id,
-                    EvictionRecord {
-                        evict_vtime: view.vtime,
-                        access_count: m.access_count,
-                        age_at_evict: view.vtime.saturating_sub(m.last_vtime),
-                    },
-                );
-            }
+            let m = view.meta_at(view.slot);
+            self.history.record(
+                id,
+                EvictionRecord {
+                    evict_vtime: view.vtime,
+                    access_count: m.access_count,
+                    age_at_evict: view.vtime.saturating_sub(m.last_vtime),
+                },
+            );
         }
     }
 
     fn on_insert(&mut self, id: ObjId, view: &CacheView<'_>) {
         if self.uses_aggregates {
-            self.aggregates.insert(id);
+            self.aggregates.insert(view.slot);
             self.aggregates.on_access(view);
         }
         self.rescore(id, view);
@@ -325,11 +323,11 @@ impl Policy for PriorityPolicy {
 
 /// The Table-1 feature environment for one evaluation.
 struct PsqEnv<'a> {
-    id: ObjId,
-    meta: &'a crate::engine::ObjMeta,
+    meta: &'a ObjMeta,
     view: &'a CacheView<'a>,
     aggregates: &'a AggregateTracker,
-    history: &'a EvictionHistory,
+    /// The object's eviction-history record, looked up once.
+    history: Option<&'a EvictionRecord>,
 }
 
 impl FeatureEnv for PsqEnv<'_> {
@@ -347,12 +345,10 @@ impl FeatureEnv for PsqEnv<'_> {
             CountsPct(p) => self.aggregates.counts_pct(p),
             AgesPct(p) => self.aggregates.ages_pct(p, now),
             SizesPct(p) => self.aggregates.sizes_pct(p),
-            HistContains => self.history.get(self.id).is_some() as u64,
-            HistCount => self.history.get(self.id).map(|r| r.access_count).unwrap_or(0),
-            HistAgeAtEvict => self.history.get(self.id).map(|r| r.age_at_evict).unwrap_or(0),
-            HistTimeSinceEvict => {
-                self.history.get(self.id).map(|r| now.saturating_sub(r.evict_vtime)).unwrap_or(0)
-            }
+            HistContains => self.history.is_some() as u64,
+            HistCount => self.history.map_or(0, |r| r.access_count),
+            HistAgeAtEvict => self.history.map_or(0, |r| r.age_at_evict),
+            HistTimeSinceEvict => self.history.map_or(0, |r| now.saturating_sub(r.evict_vtime)),
             CacheObjects => self.view.num_objects() as u64,
             CacheUsedBytes => self.view.used_bytes,
             CacheCapacity => self.view.capacity_bytes,
@@ -379,6 +375,7 @@ pub fn lfu_seed() -> Expr {
 mod tests {
     use super::*;
     use crate::engine::Cache;
+    use crate::features::{LAST_ACCESS, SIZES};
     use policysmith_traces::{OpKind, Request};
 
     fn req(t: u64, obj: u64) -> Request {
@@ -483,18 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn btree_reference_host_matches_the_heap_host() {
-        // spot check behind the ranking swap; the exhaustive randomized
-        // differential lives in tests/rank_differential.rs
-        let ids: Vec<u64> = (0..20_000u64).map(|i| (i * 2654435761) % 300).collect();
-        let expr = policysmith_dsl::parse("obj.count * 20 - obj.age / 300").unwrap();
-        let heap = run_ids(PriorityPolicy::from_expr("heap", &expr), &ids, 4_000);
-        let btree =
-            run_ids(PriorityPolicy::from_expr("btree", &expr).use_btree_ranking(), &ids, 4_000);
-        assert_eq!(heap.result(), btree.result(), "ranking structures diverged");
-    }
-
-    #[test]
     fn percentile_features_flow_through() {
         let expr =
             policysmith_dsl::parse("if(obj.size > sizes.p50, 0 - obj.age, obj.count)").unwrap();
@@ -529,6 +514,29 @@ mod tests {
         assert!(c.contains(1), "anti-LRU protects the oldest");
         assert!(!c.contains(3), "anti-LRU evicts the most recent");
         assert!(c.policy.first_error().is_none());
+    }
+
+    #[test]
+    fn swap_policy_selects_the_new_percentiles_at_once() {
+        let counts = policysmith_dsl::parse("obj.count * counts.p50").unwrap();
+        let policy = CompiledPolicy::compile(&counts, Mode::Cache).unwrap();
+        let mut c = Cache::new(20_000, PriorityPolicy::new("pct-swap", policy).track_everything());
+        // the last refresh falls 300 accesses before the swap
+        for i in 0..(DEFAULT_REFRESH + 300) {
+            let obj = (i * 2654435761) % 150;
+            let size = 40 + (obj as u32 * 13) % 90;
+            c.request(&Request { time_us: i, obj, size, op: OpKind::Read });
+        }
+        let unread = c.policy.aggregates.sizes_pct(90);
+        let oracle = c.policy.aggregates.sorted_sample_pct(SIZES, 90);
+        assert_ne!(unread, oracle, "sizes.p90 is not selected before the swap");
+        let sizes = policysmith_dsl::parse("obj.size - sizes.p90 + ages.p10").unwrap();
+        c.policy.swap_policy(CompiledPolicy::compile(&sizes, Mode::Cache).unwrap());
+        // no access since the swap: the values come from the current sample
+        assert_eq!(c.policy.aggregates.sizes_pct(90), oracle);
+        let now = c.result().requests;
+        let newest_p90 = c.policy.aggregates.sorted_sample_pct(LAST_ACCESS, 90);
+        assert_eq!(c.policy.aggregates.ages_pct(10, now), now - newest_p90);
     }
 
     #[test]

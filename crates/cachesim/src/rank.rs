@@ -1,72 +1,41 @@
-//! Eviction-ranking structures for the priority-template host.
+//! The eviction-ranking index of the priority-template host.
 //!
-//! The host needs one ordered index over `(score, id)` pairs: rescore the
-//! accessed object on every access, pop the exact minimum on eviction.
-//! [`HeapRank`] is the production structure — a dense slab (object → small
-//! slot index, freed slots reused) holding the *current* score, plus a
-//! binary min-heap with lazy deletion: rescoring pushes a new heap entry
-//! instead of deleting the old one, and [`EvictionRank::peek_min`] discards
-//! entries whose `(score, id)` no longer matches the slab. That turns the
-//! old `BTreeSet` remove+insert (two tree walks with node traffic per
-//! access) into one slab store and one heap push, while preserving the
-//! exact `(score, id)` eviction order.
-//!
-//! [`BTreeRank`] keeps the original `BTreeSet + HashMap` implementation as
-//! the differential reference: the property tests drive both structures
-//! with identical op sequences and demand identical minima, and the
-//! `rank` micro-benchmark tracks the rescore/evict cost of each so future
-//! host changes have a baseline.
+//! The host rescores the accessed object on every access and evicts the
+//! exact minimum `(score, id)` pair — score first, object id as the
+//! tie-break. [`HeapRank`] is an addressable binary min-heap keyed by the
+//! engine's dense object slot ([`CacheView::slot`](crate::CacheView::slot)):
+//! a position array maps each slot to its heap entry, so a rescore or a
+//! removal sifts that one entry up or down in place — O(log N), no hash
+//! probe, no stale entries — and the victim is read off the root in O(1).
 
 use crate::engine::ObjId;
-use crate::util::IdMap;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-/// An ordered index over `(score, id)` pairs with exact min-order pops.
-///
-/// The contract all implementations share (and the property tests check):
-/// the minimum is the smallest `(score, id)` tuple over *currently set*
-/// objects — score first, object id as the tie-break.
-pub trait EvictionRank {
-    /// Insert `id` or update its score.
-    fn set(&mut self, id: ObjId, score: i64);
-    /// Current score of `id`, if set.
-    fn get(&self, id: ObjId) -> Option<i64>;
-    /// Remove `id`; returns whether it was present.
-    fn remove(&mut self, id: ObjId) -> bool;
-    /// The minimum `(score, id)` pair. `&mut` because lazy implementations
-    /// compact stale entries while peeking.
-    fn peek_min(&mut self) -> Option<(i64, ObjId)>;
-    /// Number of objects currently set.
-    fn len(&self) -> usize;
-    /// Is the index empty?
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+/// `position` of a slot that holds no entry.
+const ABSENT: u32 = u32::MAX;
+
+/// One ranked object. The slot rides along so a sift can update the
+/// position array without a lookup.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    score: i64,
+    id: ObjId,
+    slot: u32,
+}
+
+impl Entry {
+    /// The eviction order.
+    fn key(&self) -> (i64, ObjId) {
+        (self.score, self.id)
     }
 }
 
-/// One slab slot. `live` distinguishes freed slots during compaction scans.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    id: ObjId,
-    score: i64,
-    live: bool,
-}
-
-/// The production ranking: dense slab + lazy-deletion binary heap.
+/// Addressable binary min-heap over `(score, id)`, keyed by engine slot.
 #[derive(Debug, Default)]
 pub struct HeapRank {
-    /// ObjId → slab slot.
-    index: IdMap<ObjId, u32>,
-    /// Current scores, contiguous; freed slots are recycled via `free`.
-    slab: Vec<Slot>,
-    free: Vec<u32>,
-    /// Min-heap of every score ever assigned and not yet discarded. Each
-    /// entry carries the slab slot it described; an entry is live iff that
-    /// slot still holds its `(score, id)` — an array read, not a hash
-    /// lookup, on the victim path. The slot is ordered *after* `(score,
-    /// id)`, so duplicates of one logical key never reorder evictions.
-    heap: BinaryHeap<Reverse<(i64, ObjId, u32)>>,
+    /// The binary heap: every entry's key is no smaller than its parent's.
+    heap: Vec<Entry>,
+    /// Slot → index of its entry in `heap`, or [`ABSENT`].
+    position: Vec<u32>,
 }
 
 impl HeapRank {
@@ -75,187 +44,140 @@ impl HeapRank {
         Self::default()
     }
 
-    /// Drop stale heap entries once they outnumber live ones 2:1 — bounds
-    /// heap growth to O(live) amortized without a per-op index update.
-    fn maybe_compact(&mut self) {
-        if self.heap.len() > 2 * self.index.len() + 64 {
-            self.heap = self
-                .slab
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.live)
-                .map(|(ix, s)| Reverse((s.score, s.id, ix as u32)))
-                .collect();
+    /// Insert the object `id` held in `slot`, or update its score.
+    pub fn set(&mut self, slot: u32, id: ObjId, score: i64) {
+        let s = slot as usize;
+        if s >= self.position.len() {
+            self.position.resize(s + 1, ABSENT);
         }
-    }
-}
-
-impl EvictionRank for HeapRank {
-    fn set(&mut self, id: ObjId, score: i64) {
-        let ix = match self.index.entry(id) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let ix = *e.get();
-                let slot = &mut self.slab[ix as usize];
-                if slot.score == score {
-                    // the live heap entry for (score, id, ix) is still valid
-                    return;
+        let entry = Entry { score, id, slot };
+        match self.position[s] {
+            ABSENT => {
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1, entry);
+            }
+            at => {
+                let at = at as usize;
+                let old = self.heap[at].key();
+                if entry.key() < old {
+                    self.sift_up(at, entry);
+                } else if entry.key() > old {
+                    self.sift_down(at, entry);
                 }
-                slot.score = score;
-                ix
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let slot = Slot { id, score, live: true };
-                let ix = match self.free.pop() {
-                    Some(ix) => {
-                        self.slab[ix as usize] = slot;
-                        ix
-                    }
-                    None => {
-                        self.slab.push(slot);
-                        (self.slab.len() - 1) as u32
-                    }
-                };
-                e.insert(ix);
-                ix
-            }
+        }
+    }
+
+    /// Current score of the object in `slot`, if ranked.
+    pub fn get(&self, slot: u32) -> Option<i64> {
+        match self.position.get(slot as usize) {
+            Some(&at) if at != ABSENT => Some(self.heap[at as usize].score),
+            _ => None,
+        }
+    }
+
+    /// Remove the object in `slot`; returns whether it was ranked.
+    pub fn remove(&mut self, slot: u32) -> bool {
+        let at = match self.position.get(slot as usize) {
+            Some(&at) if at != ABSENT => at as usize,
+            _ => return false,
         };
-        self.heap.push(Reverse((score, id, ix)));
-        self.maybe_compact();
-    }
-
-    fn get(&self, id: ObjId) -> Option<i64> {
-        self.index.get(&id).map(|&ix| self.slab[ix as usize].score)
-    }
-
-    fn remove(&mut self, id: ObjId) -> bool {
-        match self.index.remove(&id) {
-            Some(ix) => {
-                self.slab[ix as usize].live = false;
-                self.free.push(ix);
-                true
+        self.position[slot as usize] = ABSENT;
+        let last = self.heap.pop().expect("a ranked slot has a heap entry");
+        if at < self.heap.len() {
+            // the last entry fills the hole and moves whichever way it must
+            if at > 0 && last.key() < self.heap[(at - 1) / 2].key() {
+                self.sift_up(at, last);
+            } else {
+                self.sift_down(at, last);
             }
-            None => false,
         }
+        true
     }
 
-    fn peek_min(&mut self) -> Option<(i64, ObjId)> {
-        while let Some(&Reverse((score, id, ix))) = self.heap.peek() {
-            let slot = &self.slab[ix as usize];
-            if slot.live && slot.id == id && slot.score == score {
-                return Some((score, id));
+    /// The minimum `(score, id)` pair.
+    pub fn peek_min(&self) -> Option<(i64, ObjId)> {
+        self.heap.first().map(Entry::key)
+    }
+
+    /// Number of ranked objects.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Is the index empty?
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    fn place(&mut self, at: usize, entry: Entry) {
+        self.heap[at] = entry;
+        self.position[entry.slot as usize] = at as u32;
+    }
+
+    /// Put `entry` at hole `at` or above, moving larger parents down.
+    fn sift_up(&mut self, mut at: usize, entry: Entry) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.heap[parent].key() <= entry.key() {
+                break;
             }
-            self.heap.pop();
+            self.place(at, self.heap[parent]);
+            at = parent;
         }
-        None
+        self.place(at, entry);
     }
 
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-}
-
-/// The original `BTreeSet + HashMap` ranking — the differential reference.
-#[derive(Debug, Default)]
-pub struct BTreeRank {
-    set: BTreeSet<(i64, ObjId)>,
-    score: HashMap<ObjId, i64>,
-}
-
-impl BTreeRank {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl EvictionRank for BTreeRank {
-    fn set(&mut self, id: ObjId, score: i64) {
-        if let Some(old) = self.score.insert(id, score) {
-            self.set.remove(&(old, id));
-        }
-        self.set.insert((score, id));
-    }
-
-    fn get(&self, id: ObjId) -> Option<i64> {
-        self.score.get(&id).copied()
-    }
-
-    fn remove(&mut self, id: ObjId) -> bool {
-        match self.score.remove(&id) {
-            Some(old) => {
-                self.set.remove(&(old, id));
-                true
+    /// Put `entry` at hole `at` or below, moving smaller children up.
+    fn sift_down(&mut self, mut at: usize, entry: Entry) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * at + 1;
+            if left >= n {
+                break;
             }
-            None => false,
+            let right = left + 1;
+            let child = if right < n && self.heap[right].key() < self.heap[left].key() {
+                right
+            } else {
+                left
+            };
+            if self.heap[child].key() >= entry.key() {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
         }
-    }
-
-    fn peek_min(&mut self) -> Option<(i64, ObjId)> {
-        self.set.first().copied()
-    }
-
-    fn len(&self) -> usize {
-        self.score.len()
-    }
-}
-
-/// Either ranking behind one dispatch point, so the host can be flipped to
-/// the reference structure for differential tests and baseline benchmarks
-/// without a generic parameter leaking into its public type.
-#[derive(Debug)]
-pub enum Rank {
-    /// The production slab + lazy heap.
-    Heap(HeapRank),
-    /// The reference `BTreeSet` index.
-    BTree(BTreeRank),
-}
-
-impl EvictionRank for Rank {
-    fn set(&mut self, id: ObjId, score: i64) {
-        match self {
-            Rank::Heap(r) => r.set(id, score),
-            Rank::BTree(r) => r.set(id, score),
-        }
-    }
-
-    fn get(&self, id: ObjId) -> Option<i64> {
-        match self {
-            Rank::Heap(r) => r.get(id),
-            Rank::BTree(r) => r.get(id),
-        }
-    }
-
-    fn remove(&mut self, id: ObjId) -> bool {
-        match self {
-            Rank::Heap(r) => r.remove(id),
-            Rank::BTree(r) => r.remove(id),
-        }
-    }
-
-    fn peek_min(&mut self) -> Option<(i64, ObjId)> {
-        match self {
-            Rank::Heap(r) => r.peek_min(),
-            Rank::BTree(r) => r.peek_min(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Rank::Heap(r) => r.len(),
-            Rank::BTree(r) => r.len(),
-        }
+        self.place(at, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn drain<R: EvictionRank>(r: &mut R) -> Vec<(i64, ObjId)> {
+    impl HeapRank {
+        /// The heap property holds, `position` and `heap` agree both ways,
+        /// and `len()` counts exactly the slots marked live.
+        fn assert_invariants(&self) {
+            for (at, e) in self.heap.iter().enumerate() {
+                if at > 0 {
+                    assert!(self.heap[(at - 1) / 2].key() < e.key(), "heap order at {at}");
+                }
+                assert_eq!(self.position[e.slot as usize], at as u32, "slot {}", e.slot);
+            }
+            let live = self.position.iter().filter(|&&at| at != ABSENT).count();
+            assert_eq!(live, self.len());
+        }
+    }
+
+    fn drain(r: &mut HeapRank) -> Vec<(i64, ObjId)> {
         let mut out = Vec::new();
         while let Some((s, id)) = r.peek_min() {
             out.push((s, id));
-            r.remove(id);
+            let slot = r.heap[0].slot;
+            r.remove(slot);
         }
         out
     }
@@ -263,49 +185,84 @@ mod tests {
     #[test]
     fn min_order_with_ties_matches_reference() {
         let mut h = HeapRank::new();
-        let mut b = BTreeRank::new();
-        for (id, score) in [(3u64, 5i64), (1, 5), (2, 4), (9, 4), (7, 6)] {
-            h.set(id, score);
-            b.set(id, score);
-            assert_eq!(h.peek_min(), b.peek_min());
+        let mut reference = Vec::new();
+        for (slot, (id, score)) in
+            [(3u64, 5i64), (1, 5), (2, 4), (9, 4), (7, 6)].into_iter().enumerate()
+        {
+            h.set(slot as u32, id, score);
+            reference.push((score, id));
+            assert_eq!(h.peek_min(), reference.iter().copied().min());
         }
-        assert_eq!(drain(&mut h), drain(&mut b));
+        reference.sort_unstable();
+        assert_eq!(drain(&mut h), reference);
     }
 
     #[test]
     fn rescore_discards_stale_entries() {
         let mut h = HeapRank::new();
-        h.set(1, 10);
-        h.set(2, 20);
-        h.set(1, 30); // stale (10, 1) must not surface
+        h.set(0, 1, 10);
+        h.set(1, 2, 20);
+        h.set(0, 1, 30); // the old (10, 1) must not surface
         assert_eq!(h.peek_min(), Some((20, 2)));
-        h.set(1, 10); // back to the old value: old entry is valid again
+        h.set(0, 1, 10); // back to the old value
         assert_eq!(h.peek_min(), Some((10, 1)));
-        assert_eq!(h.get(1), Some(10));
+        assert_eq!(h.get(0), Some(10));
         assert_eq!(h.len(), 2);
+        h.assert_invariants();
     }
 
     #[test]
     fn remove_then_reinsert_same_score() {
         let mut h = HeapRank::new();
-        h.set(1, 7);
-        h.set(2, 9);
-        assert!(h.remove(1));
+        h.set(0, 1, 7);
+        h.set(1, 2, 9);
+        assert!(h.remove(0));
         assert_eq!(h.peek_min(), Some((9, 2)));
-        h.set(1, 7); // slot recycled, old heap entry may or may not linger
+        h.set(0, 1, 7); // slot recycled
         assert_eq!(h.peek_min(), Some((7, 1)));
         assert!(!h.remove(42));
+        assert_eq!(h.get(42), None);
+        h.assert_invariants();
     }
 
     #[test]
-    fn compaction_bounds_heap_growth() {
+    fn heap_holds_one_entry_per_ranked_slot() {
         let mut h = HeapRank::new();
         for round in 0..1_000i64 {
-            for id in 0..8u64 {
-                h.set(id, round * 8 + id as i64);
+            for slot in 0..8u32 {
+                h.set(slot, slot as u64, round * 8 + slot as i64);
             }
         }
-        assert!(h.heap.len() <= 2 * h.len() + 64, "heap grew to {}", h.heap.len());
+        assert_eq!(h.heap.len(), 8);
         assert_eq!(h.peek_min(), Some((999 * 8, 0)));
+        h.assert_invariants();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random set / remove / evict-min sequences over recycled slots:
+        /// the invariants hold after every operation.
+        #[test]
+        fn invariants_hold_after_every_op(
+            ops in proptest::collection::vec((0u8..3, 0u32..24, -20i64..20), 1..400),
+        ) {
+            let mut h = HeapRank::new();
+            for (op, slot, score) in ops {
+                match op {
+                    0 => h.set(slot, slot as u64, score),
+                    1 => {
+                        let ranked = h.get(slot).is_some();
+                        prop_assert_eq!(h.remove(slot), ranked);
+                    }
+                    _ => {
+                        if let Some((_, id)) = h.peek_min() {
+                            prop_assert!(h.remove(id as u32));
+                        }
+                    }
+                }
+                h.assert_invariants();
+            }
+        }
     }
 }

@@ -104,6 +104,13 @@ pub struct ServeConfig {
     pub window: usize,
     /// Sample every k-th decision's latency (1 = all; >1 keeps the
     /// clock off the hot path at high decision rates).
+    ///
+    /// The sample aliases with periodic work in the host. The cache host
+    /// refreshes its percentile sample on every
+    /// `policysmith_cachesim::psq::DEFAULT_REFRESH`-th (512th) access,
+    /// starting with the first, so any k that divides 512 samples every
+    /// refresh: with k = 8, refreshes are 1 in 64 latency samples but
+    /// 1 in 512 decisions, and they alone can set the sampled p99.
     pub latency_sample_every: u64,
     /// Drift monitor: rolling windows per mean.
     pub monitor_window: usize,
